@@ -21,7 +21,7 @@ from ..core.controller import TimingCalibration
 from ..security.metadata_cache import MetadataCaches
 from ..sim.config import SystemConfig
 from ..sim.engine import BoundedPipeline, BusyResource
-from ..sim.hierarchy import MemoryHierarchy
+from ..sim.hierarchy import hierarchy_pass
 from ..sim.stats import SimulationResult, StatsCollector
 from ..workloads.trace import Trace
 
@@ -66,7 +66,6 @@ class StrictPersistencySimulator:
         config = self.config
         cal = self.calibration
         stats = StatsCollector()
-        hierarchy = MemoryHierarchy(config, stats)
         mdc = MetadataCaches(config, stats)
         mc_engine = BusyResource("mc-tuple-engine")
         store_buffer = BoundedPipeline("store-buffer", config.store_buffer_entries)
@@ -83,12 +82,15 @@ class StrictPersistencySimulator:
         aes_cycles = config.security.aes_latency_cycles
 
         warmup_ops = int(len(trace) * warmup_frac)
+        hierarchy = hierarchy_pass(trace, config, warmup_ops)
         warmup_clock = 0.0
         warmup_instructions = 0
         warmup_stats: Dict[str, float] = {}
         op_index = 0
 
-        for is_store, block_addr, gap in trace.iter_ops():
+        for is_store, block_addr, gap, latency in zip(
+            *trace.columns(), hierarchy.load_latency
+        ):
             if op_index == warmup_ops and warmup_ops:
                 warmup_clock = clock
                 warmup_instructions = instructions
@@ -96,17 +98,13 @@ class StrictPersistencySimulator:
             op_index += 1
             instructions += gap + 1
             clock += gap * cal.cpi_base
-            byte_addr = block_addr << 6
 
             if not is_store:
-                latency = hierarchy.load_latency(byte_addr)
                 if latency <= l1_hit:
                     clock += latency
                 else:
                     clock += l1_hit + cal.load_blocking_fraction * (latency - l1_hit)
                 continue
-
-            hierarchy.store_access(byte_addr, persist_region=True)
 
             # Tuple update at the MC, serialized in persist order.  The
             # flush transit and the MAC latency pipeline with younger
@@ -133,6 +131,7 @@ class StrictPersistencySimulator:
             # hits) are excluded so reported ratios cover only the
             # measured region — mirroring SecurePersistencySimulator.
             stats.subtract(warmup_stats)
+        stats.merge(hierarchy.stats)
         stats.set("instructions", instructions - warmup_instructions)
         result = SimulationResult(
             scheme=self.SCHEME_NAME,

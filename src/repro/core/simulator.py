@@ -10,7 +10,10 @@ Sec. VI-B):
 
 * the core retires non-memory instructions at ``1 / cpi_base`` IPC;
 * loads charge their hierarchy latency, discounted by the fraction an OOO
-  window hides;
+  window hides.  The L1D/L2/LLC stack behaves identically under every
+  scheme, so its per-load latencies and counters come from one
+  :func:`~repro.sim.hierarchy.hierarchy_pass` per trace, shared by all
+  schemes; this simulator is the scheme pass over that column;
 * stores enter the L1D and SecPB in parallel.  SecPB acceptance is
   *serialized*: the buffer accepts the next store only after raising the
   unblocking signal for the previous one, i.e. after the scheme's early
@@ -36,7 +39,7 @@ from ..obs.tracing import LANE_DRAIN, LANE_STALLS, LANE_STORES, Tracer
 from ..security.metadata_cache import MetadataCaches
 from ..sim.config import SystemConfig
 from ..sim.engine import BoundedPipeline
-from ..sim.hierarchy import MemoryHierarchy
+from ..sim.hierarchy import hierarchy_pass
 from ..sim.stats import SimulationResult, StatsCollector
 from ..workloads.trace import Trace
 from .controller import SecPBController, TimingCalibration
@@ -101,7 +104,6 @@ class SecurePersistencySimulator:
         config = self.config
         cal = self.calibration
         stats = StatsCollector()
-        hierarchy = MemoryHierarchy(config, stats)
         secure = self.scheme is not None
 
         if secure:
@@ -233,6 +235,7 @@ class SecurePersistencySimulator:
                 drain_one(now)
 
         warmup_ops = int(len(trace) * warmup_frac)
+        hierarchy = hierarchy_pass(trace, config, warmup_ops)
         warmup_clock = 0.0
         warmup_instructions = 0
         warmup_stats: Dict[str, float] = {}
@@ -240,8 +243,6 @@ class SecurePersistencySimulator:
         op_index = 0
 
         # More hot-loop bindings (method lookups hoisted out of the loop).
-        load_latency = hierarchy.load_latency
-        store_access = hierarchy.store_access
         secpb_entries_get = secpb_entries.get
         secpb_coalesce = secpb.coalesce
         secpb_allocate = secpb.allocate
@@ -250,7 +251,9 @@ class SecurePersistencySimulator:
         price_new_entry = controller.price_new_entry if secure else None
         price_coalesced = controller.price_coalesced_store if secure else None
 
-        for is_store, block_addr, gap in trace.iter_ops():
+        for is_store, block_addr, gap, latency in zip(
+            *trace.columns(), hierarchy.load_latency
+        ):
             if op_index == warmup_ops and warmup_ops:
                 warmup_clock = clock
                 warmup_instructions = instructions
@@ -259,11 +262,8 @@ class SecurePersistencySimulator:
             instructions += gap + 1
             clock += gap * cpi_base
 
-            byte_addr = block_addr << 6
-
             if not is_store:
-                latency = load_latency(byte_addr)
-                if latency >= memory_fill_cycles and verify_load_cycles:
+                if verify_load_cycles and latency >= memory_fill_cycles:
                     # Non-speculative integrity verification (ablation of
                     # the Table I assumption): data fetched from PM cannot
                     # be used until its counter is fetched, the OTP is
@@ -277,9 +277,8 @@ class SecurePersistencySimulator:
                     clock += l1_hit_cycles + blocking * (latency - l1_hit_cycles)
                 continue
 
-            # Store path: L1D and SecPB accessed in parallel (Sec. IV-B).
-            store_access(byte_addr, True)
-
+            # Store path: L1D and SecPB accessed in parallel (Sec. IV-B);
+            # the L1D side ran in the hierarchy pass.
             entry = secpb_entries_get(block_addr)
             if entry is None:
                 # Backflow: a physical slot frees only when its drain
@@ -380,6 +379,7 @@ class SecurePersistencySimulator:
             # only the measured region.  State (caches, SecPB, metadata
             # caches) keeps its warmed contents.
             stats.subtract(warmup_stats)
+        stats.merge(hierarchy.stats)
         stats.set("instructions", instructions - warmup_instructions)
         stats.set("secpb.final_occupancy", secpb.occupancy)
         # Gauge over the whole run (warmup included): structural occupancy

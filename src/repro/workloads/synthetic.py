@@ -16,6 +16,8 @@ All generators are deterministic under a seed.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 from .trace import Trace
@@ -28,6 +30,23 @@ def _zipf_weights(n: int, alpha: float) -> np.ndarray:
     ranks = np.arange(1, n + 1, dtype=np.float64)
     weights = ranks ** (-alpha) if alpha > 0 else np.ones(n)
     return weights / weights.sum()
+
+
+def _expand_bursts(
+    anchor_addr: np.ndarray,
+    anchor_is_store: np.ndarray,
+    burst_length: int,
+    num_ops: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Repeat each store anchor ``burst_length`` times; keep ``num_ops`` refs.
+
+    Loads stay single references.  Draws nothing from the RNG, so the
+    trace a seed produces does not depend on how the bursts are expanded.
+    """
+    runs = np.where(anchor_is_store, burst_length, 1)
+    block_addr = np.repeat(anchor_addr, runs)[:num_ops]
+    is_store = np.repeat(anchor_is_store, runs)[:num_ops]
+    return block_addr, is_store
 
 
 def _assemble(
@@ -73,20 +92,10 @@ def zipf_trace(
     anchors = num_ops
     anchor_blocks = rng.choice(working_set_blocks, size=anchors, p=weights)
     anchor_is_store = rng.random(anchors) < store_fraction
-
-    addr_runs = []
-    store_runs = []
-    emitted = 0
-    for block, is_store in zip(anchor_blocks.tolist(), anchor_is_store.tolist()):
-        run = burst_length if is_store else 1
-        addr_runs.append(np.full(run, block, dtype=np.int64))
-        store_runs.append(np.full(run, is_store, dtype=bool))
-        emitted += run
-        if emitted >= num_ops:
-            break
-    block_addr = np.concatenate(addr_runs)[:num_ops] + base_block
-    is_store = np.concatenate(store_runs)[:num_ops]
-    return _assemble(name, block_addr, is_store, mean_gap, rng)
+    block_addr, is_store = _expand_bursts(
+        anchor_blocks, anchor_is_store, burst_length, num_ops
+    )
+    return _assemble(name, block_addr + base_block, is_store, mean_gap, rng)
 
 
 def streaming_trace(
@@ -154,26 +163,11 @@ def hotspot_trace(
     cold_addr = hot_blocks + rng.integers(0, max(1, cold_blocks), size=anchors)
     anchor_addr = np.where(in_hot, hot_addr, cold_addr)
     anchor_is_store = rng.random(anchors) < store_fraction
-
-    if burst_length == 1:
-        block_addr = anchor_addr.astype(np.int64)
-        is_store = anchor_is_store
-    else:
-        # Store anchors expand into bursts (multi-word line writes).
-        addr_runs = []
-        store_runs = []
-        emitted = 0
-        for block, is_st in zip(anchor_addr.tolist(), anchor_is_store.tolist()):
-            run = burst_length if is_st else 1
-            addr_runs.append(np.full(run, block, dtype=np.int64))
-            store_runs.append(np.full(run, is_st, dtype=bool))
-            emitted += run
-            if emitted >= num_ops:
-                break
-        block_addr = np.concatenate(addr_runs)[:num_ops]
-        is_store = np.concatenate(store_runs)[:num_ops]
-    block_addr = block_addr + base_block
-    return _assemble(name, block_addr, is_store, mean_gap, rng)
+    # Store anchors expand into bursts (multi-word line writes).
+    block_addr, is_store = _expand_bursts(
+        anchor_addr, anchor_is_store, burst_length, num_ops
+    )
+    return _assemble(name, block_addr + base_block, is_store, mean_gap, rng)
 
 
 def pointer_chase_trace(

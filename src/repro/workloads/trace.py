@@ -16,9 +16,11 @@ Traces round-trip to ``.npz`` files for reuse across experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Callable, Hashable, Iterator, List, Tuple, TypeVar
 
 import numpy as np
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -64,24 +66,36 @@ class Trace:
             return 0.0
         return 1000.0 * self.num_stores / instructions
 
-    def iter_ops(self) -> Iterator[Tuple[bool, int, int]]:
-        """Yield (is_store, block_addr, gap) per reference, in order."""
+    def memoized(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """``compute()``, evaluated once per ``key`` for this trace.
+
+        Traces are treated as immutable after construction (head()/concat()
+        return copies), so a value derived from the columns alone can be
+        cached on the trace itself and can never go stale.  Experiment
+        sweeps simulate the same trace once per scheme, and this is where
+        their shared work lives.
+        """
+        memo = self.__dict__.setdefault("_memo", {})
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
+    def columns(self) -> Tuple[List[bool], List[int], List[int]]:
+        """The (is_store, block_addr, gap) columns as Python lists."""
         # .tolist() converts to Python scalars once, which is markedly
-        # faster than indexing numpy arrays element-wise in a loop.  The
-        # materialized columns are memoized: experiment sweeps iterate the
-        # same trace once per scheme, and rebuilding million-element lists
-        # per simulation dominated iteration cost.  Traces are treated as
-        # immutable after construction (head()/concat() return copies), so
-        # the memo can never go stale.
-        cached = self.__dict__.get("_columns")
-        if cached is None:
-            cached = (
+        # faster than indexing numpy arrays element-wise in a loop.
+        return self.memoized(
+            "columns",
+            lambda: (
                 self.is_store.tolist(),
                 self.block_addr.tolist(),
                 self.gap.tolist(),
-            )
-            self.__dict__["_columns"] = cached
-        return zip(*cached)
+            ),
+        )
+
+    def iter_ops(self) -> Iterator[Tuple[bool, int, int]]:
+        """Yield (is_store, block_addr, gap) per reference, in order."""
+        return zip(*self.columns())
 
     def head(self, n: int) -> "Trace":
         """First ``n`` references (for quick tests)."""

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.multicore import MultiCoreSecPBSimulator, sharing_traces
-from repro.core.schemes import get_scheme
+from repro.core.schemes import SCHEMES, SPECTRUM_ORDER, get_scheme
+from repro.core.simulator import run_scheme
+from repro.workloads.spec import build_trace
 
 
 def traces(cores, num_ops=1500, share=0.2, seed=5):
@@ -158,3 +160,31 @@ class TestWarmup:
             traces(2), warmup_frac=0.2
         )
         assert result.cycles > 0
+
+
+class TestSingleCoreEquivalence:
+    """``MultiCoreSecPBSimulator(1, s)`` reproduces ``run_scheme`` exactly."""
+
+    @staticmethod
+    def _hierarchy_counters(stats):
+        return {
+            name: value
+            for name, value in stats.items()
+            if name.startswith(("cache.", "hierarchy."))
+        }
+
+    @pytest.mark.parametrize("bench", ["gamess", "mcf", "lbm"])
+    @pytest.mark.parametrize("warmup_frac", [0.0, 0.3])
+    def test_one_core_matches_single_core(self, bench, warmup_frac):
+        trace = build_trace(bench, 1500)
+        for scheme in [None] + [SCHEMES[name] for name in SPECTRUM_ORDER]:
+            multi = MultiCoreSecPBSimulator(1, scheme).run(
+                [trace], warmup_frac=warmup_frac
+            )
+            single = run_scheme(trace, scheme, warmup_frac=warmup_frac)
+            assert multi.cycles == single.cycles
+            assert multi.per_core_cycles == [single.cycles]
+            assert multi.instructions == single.instructions
+            counters = self._hierarchy_counters(single.stats)
+            assert counters
+            assert self._hierarchy_counters(multi.stats) == counters

@@ -1,12 +1,16 @@
 """Tests for repro.workloads — traces, generators, SPEC profiles."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.workloads.spec import PROFILES, all_benchmarks, build_trace
+from repro.workloads.store import trace_digest
 from repro.workloads.synthetic import (
+    _expand_bursts,
     hotspot_trace,
     pointer_chase_trace,
     streaming_trace,
@@ -233,3 +237,76 @@ class TestSpecProfiles:
             )
             nwpes.append(sim.run(trace).stats["nwpe"])
         assert nwpes[1] / nwpes[0] < 1.3
+
+
+def _loop_expand(anchor_addr, anchor_is_store, burst_length, num_ops):
+    """Reference burst expansion: one run per anchor until num_ops refs."""
+    addr_runs, store_runs, emitted = [], [], 0
+    for block, is_store in zip(anchor_addr.tolist(), anchor_is_store.tolist()):
+        run = burst_length if is_store else 1
+        addr_runs.append(np.full(run, block, dtype=np.int64))
+        store_runs.append(np.full(run, is_store, dtype=bool))
+        emitted += run
+        if emitted >= num_ops:
+            break
+    return np.concatenate(addr_runs)[:num_ops], np.concatenate(store_runs)[:num_ops]
+
+
+class TestBurstExpansion:
+    def test_matches_per_anchor_loop(self):
+        rng = np.random.default_rng(2023)
+        for _ in range(100):
+            num_ops = int(rng.integers(1, 400))
+            burst_length = int(rng.integers(1, 9))
+            anchor_addr = rng.integers(0, 50, size=num_ops)
+            anchor_is_store = rng.random(num_ops) < rng.random()
+            got = _expand_bursts(anchor_addr, anchor_is_store, burst_length, num_ops)
+            want = _loop_expand(anchor_addr, anchor_is_store, burst_length, num_ops)
+            for got_column, want_column in zip(got, want):
+                assert np.array_equal(got_column, want_column)
+                assert got_column.dtype == want_column.dtype
+
+
+class TestTraceDigestsPinned:
+    """Every SPEC profile's trace stays byte-identical for its seed.
+
+    Digests were recorded from the per-anchor burst-expansion generators;
+    any change to how a generator draws or assembles references shows
+    here before it silently moves every paper artifact.
+    """
+
+    DIGESTS_4000 = {
+        "gamess": "b4dc5db74dc907706d1c07a76fda1eb287215fad444263c9836048d12095465e",
+        "povray": "e1f24752afcaf86e1c78ca7cd7bc631df2c1aaa63043136d80e2acd245fae541",
+        "astar": "c00ba0261c0574999c189aff77454fd710411274b5b6676a5f82d459ad9248af",
+        "bwaves": "8dded3e88727b396f32e47f6496e32ecc21d61fb2ae7198fef40724ad682b1fc",
+        "gobmk": "c07e1c8c4b8e62b7b6d71a01be67ef5121ebdc9c785e4222e787a361451e6ac5",
+        "mcf": "0d3e06718bcf19928738cdf3827e1687e5138f257209b029f75630dbf2dacdf6",
+        "lbm": "20607e8925c7f4ea9fdd8934b258706e8b1569528a12f21dff7d8dc5b0535e82",
+        "libquantum": "333913ec04dec5fd7fb579ef31d98152fc3f7f0c8796a057a359706b3980ad02",
+        "milc": "c809ca71641f95cdcaf4e57edb319818bcdb28a81e770996d988c1f73563c386",
+        "gcc": "da691234f61c99979bcd9977af0ade5c2f6bf50f5e481fd51012a6ce25e0c321",
+        "bzip2": "614bdebe21bb9898b8d5a2856478c27b78eef118d5963c6ef67a51bcda1de990",
+        "hmmer": "cf5a5a2157282ea2b118058c30f6aaee83440a2ef7522ee54a4ae462aef46197",
+        "sjeng": "1c71d5f5391067b655cbe7c0b4a4f86bb74d841952913d811ad2ce0d1950535b",
+        "omnetpp": "6ef919410b82e2015ebd341b7d8a11ca142de41746540ee0c2fc53a7a72cc1ab",
+        "h264ref": "4202fc7f9a4c2a7f761fbe3171b5613de38206c9ce3c4aa0a2df8cfaaf893d28",
+        "gromacs": "bed9635995ad399155bb55e5d107978f6c79842073c4cc25b97c525ea661809d",
+        "cactusADM": "acfaed782bb23432d6eb86b5234d386962039cc6dbfc47f9418dd90177951cb9",
+        "leslie3d": "01e5f8f6f9aab5fc53cc946035241c8e09d16d8651be73e5e75b609a8871ec2f",
+    }
+    # SHA-256 over the concatenated per-benchmark digests at 1500 refs, seed 7.
+    COMBINED_1500_SEED7 = (
+        "fd2923e4b2d9c7dd494bb337772c05fbfedb2af4683de966a11b67215732c34a"
+    )
+
+    def test_every_benchmark_digest_at_4000_refs(self):
+        assert sorted(self.DIGESTS_4000) == sorted(all_benchmarks())
+        for name, digest in self.DIGESTS_4000.items():
+            assert trace_digest(build_trace(name, 4000)) == digest, name
+
+    def test_combined_digest_at_another_size_and_seed(self):
+        combined = "".join(
+            trace_digest(build_trace(name, 1500, seed=7)) for name in all_benchmarks()
+        )
+        assert hashlib.sha256(combined.encode()).hexdigest() == self.COMBINED_1500_SEED7
