@@ -28,8 +28,9 @@ lint:
 		echo "mypy not installed; skipping"; \
 	fi
 
-# The CI entry point: static analysis, the tier-1 suite, the quick
-# parallel-runner smoke (which includes the observability smoke in
+# The CI entry point: static analysis, the tier-1 suite, the benchmark
+# harness's own tests (pinned result digests, /dev/shm leak scan), the
+# quick parallel-runner smoke (which includes the observability smoke in
 # benchmarks/test_obs_smoke.py), the fault-campaign smoke, the
 # instrumented-run smoke, the resume smoke (deadline checkpoint ->
 # resume -> byte-identical report), the chaos smoke (systematic
@@ -37,6 +38,7 @@ lint:
 # (socket burst byte-identity, SIGTERM drain -> exit 75 -> resume,
 # breaker cycle; mirrors .github/workflows/ci.yml).
 ci: lint test
+	$(PYTHON) -m pytest perfbench/tests -q
 	$(PYTHON) -m pytest benchmarks -m quick -q -p no:cacheprovider
 	$(PYTHON) -m repro faultcampaign --crash-points 2 --num-stores 40 --jobs 2
 	PYTHON="$(PYTHON)" sh tools/obs_smoke.sh

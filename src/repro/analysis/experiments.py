@@ -31,8 +31,7 @@ batched dispatch), which is how the CLI makes ``repro experiment
 skipped, fresh results checkpoint as they land, and a tripped deadline
 raises :class:`~repro.durability.RunInterrupted` through the experiment.
 Parallel sweeps share the persistent warm worker pool and zero-copy
-trace plane of :mod:`repro.runtime`; see that package for the
-``SECPB_EXEC_PLANE`` / ``SECPB_TRACE_SHM`` opt-outs.
+trace plane of :mod:`repro.runtime`.
 """
 
 from __future__ import annotations

@@ -16,13 +16,11 @@ reduction is *identical* regardless of worker count or completion order:
   each materialized trace once into the shared-memory plane
   (:mod:`repro.runtime.shm`) and workers *attach* zero-copy read-only
   views instead of rebuilding — a worker materializes a trace only when
-  the plane is cold or disabled;
+  its segment is missing or fails its digest check;
 * jobs are dispatched in **batches** over a process-wide *warm*
   :class:`~repro.runtime.pool.WorkerPool` (:mod:`repro.runtime.pool`)
   that survives across ``run_tasks`` calls, amortizing both pool
-  construction and per-future pickle/IPC; ``SECPB_EXEC_PLANE=0``
-  restores the legacy fresh-pool-per-call, one-future-per-task
-  behavior;
+  construction and per-future pickle/IPC;
 * results are assembled in *submission order* into a plain dict — the
   parallel output is the same object, bit for bit, as the serial one,
   whatever the batching.
@@ -79,19 +77,8 @@ from ..envfault import procfault as _procfault
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import LANE_STORES, Tracer
 from ..resilience import RetryPolicy
-from ..runtime.pool import (
-    WorkerPool,
-    discard_shared_pool,
-    ephemeral_pool,
-    get_shared_pool,
-    plane_enabled,
-)
-from ..runtime.shm import (
-    TraceAttachSetup,
-    attach_retries,
-    shared_registry,
-    shm_enabled,
-)
+from ..runtime.pool import WorkerPool, discard_shared_pool, get_shared_pool
+from ..runtime.shm import TraceAttachSetup, attach_retries, shared_registry
 from ..security.bmf import ForestTimingModel
 from ..sim.config import SystemConfig
 from ..sim.stats import SimulationResult
@@ -617,23 +604,6 @@ def _salvage_in_flight(
             logger.info("%s: salvaged at interrupt", task.key)
 
 
-def _acquire_pool(
-    pool: Optional[WorkerPool], workers: int, total: int
-) -> Tuple[WorkerPool, bool]:
-    """The pool for this run and whether it is the shared (warm) one.
-
-    With the execution plane on, every caller shares one process-wide
-    warm pool; with ``SECPB_EXEC_PLANE=0`` each run gets a single-use
-    pool sized to its work (the legacy behavior).  An explicitly passed
-    pool is used as-is.
-    """
-    if pool is not None:
-        return pool, pool.persistent
-    if plane_enabled():
-        return get_shared_pool(workers), True
-    return ephemeral_pool(min(workers, total)), False
-
-
 def _run_tasks_pool(
     tasks: Sequence[Any],
     fn: Callable[[Any], Any],
@@ -646,16 +616,13 @@ def _run_tasks_pool(
     obs: Optional[_RunnerObs] = None,
     chunk: Optional[int] = None,
     setup: Optional[Callable[[], None]] = None,
-    pool: Optional[WorkerPool] = None,
 ) -> Dict[JobKey, Any]:
     total = len(tasks)
     results: Dict[JobKey, Any] = {}
     #: key -> prior execution attempts (for retry accounting)
     attempts: Dict[JobKey, int] = {task.key: 0 for task in tasks}
-    timed_out = False
-    interrupted = False
     completed_normally = False
-    pool, shared = _acquire_pool(pool, workers, total)
+    pool = get_shared_pool(workers)
     chunk_size = _chunk_size(total, workers, chunk, timeout)
     if obs is not None:
         obs.pool_acquired(pool)
@@ -666,12 +633,8 @@ def _run_tasks_pool(
                 # A crashed worker broke the previous round's pool; the
                 # retry round gets a fresh generation so one casualty
                 # cannot poison every subsequent attempt.
-                if shared:
-                    discard_shared_pool(pool)
-                    pool = get_shared_pool(workers)
-                else:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = ephemeral_pool(min(workers, len(pending)))
+                discard_shared_pool(pool)
+                pool = get_shared_pool(workers)
                 if obs is not None:
                     obs.pool_acquired(pool)
             round_total = len(pending)
@@ -706,7 +669,6 @@ def _run_tasks_pool(
                         future, timeout, stop
                     )
                 except _StopRequested:
-                    interrupted = True
                     _salvage_in_flight(
                         futures[batch_index:], results, on_result, obs
                     )
@@ -714,8 +676,9 @@ def _run_tasks_pool(
                     raise RunInterrupted(stop.reason, results)
                 except FutureTimeoutError:
                     # The worker may be wedged; record and move on — the
-                    # remaining futures are still harvested (salvage).
-                    timed_out = True
+                    # remaining futures are still harvested (salvage),
+                    # and the pool is retired rather than kept warm.
+                    pool.mark_unhealthy()
                     for task in batch:
                         key = task.key
                         attempts[key] += 1
@@ -827,15 +790,9 @@ def _run_tasks_pool(
         # A timed-out (or abandoned-at-interrupt) worker may never
         # return; don't block shutdown on it, and never hand a pool with
         # that history — or with futures abandoned by a raising harvest
-        # — to the next run.
-        if shared:
-            if not (completed_normally and pool.healthy):
-                discard_shared_pool(pool)
-            # A healthy shared pool stays warm for the next run.
-        elif timed_out or interrupted or not completed_normally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        else:
-            pool.shutdown(wait=True)
+        # — to the next run.  A healthy pool stays warm for the next run.
+        if not (completed_normally and pool.healthy):
+            discard_shared_pool(pool)
     return results
 
 
@@ -853,7 +810,6 @@ def run_tasks(
     tracer: Optional[Tracer] = None,
     chunk: Optional[int] = None,
     setup: Optional[Callable[[], None]] = None,
-    pool: Optional[WorkerPool] = None,
 ) -> Dict[JobKey, Any]:
     """Execute keyed tasks and return ``{task.key: result}`` in task order.
 
@@ -866,7 +822,9 @@ def run_tasks(
         tasks: the work items, in the order results should be keyed.
         fn: ``task -> result``; must be picklable for ``workers > 1``.
         workers: ``<= 1`` runs serially in-process (the reference
-            behavior); more fans tasks out on a process pool.
+            behavior); more fans tasks out on the process-wide warm
+            pool (:func:`repro.runtime.pool.get_shared_pool`), reused
+            across calls.
         on_error: ``"raise"`` propagates the first task exception (after
             retries) — the legacy, fail-fast behavior; ``"record"``
             stores a :class:`JobFailure` under the task's key instead,
@@ -910,10 +868,6 @@ def run_tasks(
             :class:`repro.runtime.shm.TraceAttachSetup` announcing the
             shared-memory trace manifest).  A failing setup is logged
             in the worker and the batch proceeds.
-        pool: optional explicit :class:`repro.runtime.pool.WorkerPool`.
-            By default the process-wide warm pool is shared and reused
-            across calls (``SECPB_EXEC_PLANE=0`` restores the legacy
-            single-use pool per call).
 
     Returns:
         Results keyed and ordered by ``task.key``; under
@@ -960,7 +914,7 @@ def run_tasks(
         else:
             fresh = _run_tasks_pool(
                 todo, fn, workers, on_error, retry_policy, timeout, stop,
-                on_result, obs, chunk=chunk, setup=setup, pool=pool,
+                on_result, obs, chunk=chunk, setup=setup,
             )
     except RunInterrupted as exc:
         # Re-raise with the journaled prefix merged in, so the caller's
@@ -1040,8 +994,7 @@ def run_jobs(
     reference behavior); ``workers > 1`` fans jobs out in batches on the
     process-wide warm pool, after publishing each distinct trace once
     into the shared-memory plane so workers attach zero-copy views
-    instead of rebuilding (``SECPB_TRACE_SHM=0`` disables the segments,
-    ``SECPB_EXEC_PLANE=0`` the whole plane).  All paths produce
+    instead of rebuilding.  All paths produce
     bit-identical result mappings — the simulations are deterministic
     and results are keyed, so completion order cannot leak into the
     output.
@@ -1054,12 +1007,7 @@ def run_jobs(
     :func:`run_tasks`.
     """
     setup: Optional[TraceAttachSetup] = None
-    if (
-        workers > 1
-        and len(jobs) > 1
-        and plane_enabled()
-        and shm_enabled()
-    ):
+    if workers > 1 and len(jobs) > 1:
         setup = _publish_job_traces(jobs, completed, metrics)
     return run_tasks(
         jobs,

@@ -1,22 +1,20 @@
-"""Resilience policy engine: declarative retry, timeout, breaker, bulkhead.
+"""Resilience policy engine: declarative retry, deadline, breaker, admission.
 
 Before this package, every "try again" in the tree was hand-rolled: the
-shm plane counted attach attempts against an inline backoff tuple, the
-task runner compared ``attempts <= retries`` in four places, and the
-pool plane recycled on an inline health check.  Each was correct; none
-was *composable*, none was clock-injectable, and a serving frontend
-would have needed a fourth variant.  This package centralizes the
-patterns as pure-data policies:
+shm plane counted attach attempts against an inline backoff tuple and
+the task runner compared ``attempts <= retries`` in four places.  Each
+was correct; none was *composable*, none was clock-injectable, and a
+serving frontend would have needed a third variant.  This package
+centralizes the patterns as pure-data policies:
 
 * :class:`RetryPolicy` — capped exponential backoff with deterministic
   key-seeded jitter (no RNG, no clock in the schedule);
-* :class:`TimeoutPolicy` / :class:`Deadline` — started budgets;
+* :class:`Deadline` — a started time budget;
 * :class:`CircuitBreaker` / :class:`BreakerPolicy` — closed / open /
   half-open over a failure-rate window;
-* :class:`AdmissionController` / :class:`Bulkhead` / :class:`Rejected`
-  — bounded queues and concurrency caps that shed with typed results;
-* :class:`RecyclePolicy` / :class:`RestartBackoff` — supervisor
-  building blocks for warm-resource recycling and crash-loop pacing.
+* :class:`AdmissionController` / :class:`Rejected` — a bounded queue
+  that sheds with typed results;
+* :class:`RestartBackoff` — crash-loop pacing for a supervisor.
 
 Everything that waits does so through the injectable clock
 (:func:`get_clock` / :class:`ManualClock` / :func:`scoped_clock`), which
@@ -36,13 +34,11 @@ from __future__ import annotations
 from .breaker import CLOSED, HALF_OPEN, OPEN, BreakerPolicy, CircuitBreaker
 from .bulkhead import (
     REJECT_BREAKER_OPEN,
-    REJECT_BULKHEAD,
     REJECT_DEADLINE,
     REJECT_DRAINING,
     REJECT_QUEUE_FULL,
     AdmissionController,
     AdmissionPolicy,
-    Bulkhead,
     Rejected,
 )
 from .clock import (
@@ -54,14 +50,13 @@ from .clock import (
     set_clock,
 )
 from .retry import RetryPolicy, jitter_token
-from .supervise import RecyclePolicy, RestartBackoff
-from .timeout import Deadline, TimeoutPolicy
+from .supervise import RestartBackoff
+from .timeout import Deadline
 
 __all__ = [
     "AdmissionController",
     "AdmissionPolicy",
     "BreakerPolicy",
-    "Bulkhead",
     "CLOSED",
     "CircuitBreaker",
     "Clock",
@@ -70,16 +65,13 @@ __all__ = [
     "ManualClock",
     "OPEN",
     "REJECT_BREAKER_OPEN",
-    "REJECT_BULKHEAD",
     "REJECT_DEADLINE",
     "REJECT_DRAINING",
     "REJECT_QUEUE_FULL",
-    "RecyclePolicy",
     "Rejected",
     "RestartBackoff",
     "RetryPolicy",
     "SystemClock",
-    "TimeoutPolicy",
     "get_clock",
     "jitter_token",
     "scoped_clock",

@@ -10,13 +10,11 @@ The serving frontend applies the same shape to requests:
   returns a typed :class:`Rejected` instead of enqueueing, so overload
   produces an explicit shed response the client can retry against,
   never an unbounded backlog or a dropped connection.
-* :class:`Bulkhead` — a concurrency cap on executions in flight, so one
-  slow dependency cannot absorb every dispatcher thread.
 
 Admission is deterministic by construction: the partition of a request
 burst into accepted/shed depends only on arrival order and capacity,
 which is what lets tests assert an exact partition for a seeded burst.
-Both structures count accepts and sheds into an optional duck-typed
+The controller counts accepts and sheds into an optional duck-typed
 metrics registry (:class:`repro.obs.MetricsRegistry`).
 """
 
@@ -24,9 +22,8 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Deque, Iterator, List, Optional, TypeVar, Generic
+from typing import Deque, Generic, List, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -35,7 +32,6 @@ REJECT_QUEUE_FULL = "queue_full"
 REJECT_BREAKER_OPEN = "breaker_open"
 REJECT_DEADLINE = "deadline"
 REJECT_DRAINING = "draining"
-REJECT_BULKHEAD = "bulkhead_full"
 
 
 @dataclass(frozen=True)
@@ -139,52 +135,3 @@ class AdmissionController(Generic[T]):
         with self._cond:
             return len(self._items)
 
-
-class Bulkhead:
-    """Caps concurrent executions; acquisition past the cap is shed."""
-
-    def __init__(self, limit: int = 1, metrics: Optional[object] = None) -> None:
-        if limit < 1:
-            raise ValueError(f"limit must be >= 1, got {limit}")
-        self.limit = limit
-        self._metrics = metrics
-        self._lock = threading.Lock()
-        self._in_flight = 0
-
-    def try_acquire(self) -> Optional[Rejected]:
-        """Take a slot, or return why none was available."""
-        with self._lock:
-            if self._in_flight >= self.limit:
-                if self._metrics is not None:
-                    self._metrics.counter(
-                        "resilience.bulkhead_shed",
-                        "Executions shed at the concurrency bulkhead",
-                        deterministic=False,
-                    ).inc()
-                return Rejected(
-                    REJECT_BULKHEAD,
-                    f"{self._in_flight} execution(s) already in flight "
-                    f"(limit {self.limit})",
-                )
-            self._in_flight += 1
-            return None
-
-    def release(self) -> None:
-        with self._lock:
-            if self._in_flight <= 0:
-                raise RuntimeError("release() without a matching acquire")
-            self._in_flight -= 1
-
-    def in_flight(self) -> int:
-        with self._lock:
-            return self._in_flight
-
-    @contextmanager
-    def slot(self) -> Iterator[Optional[Rejected]]:
-        """Context-managed slot: yields the rejection (``None`` = held)."""
-        rejected = self.try_acquire()
-        try:
-            yield rejected
-        finally:
-            if rejected is None:
-                self.release()

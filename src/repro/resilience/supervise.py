@@ -1,41 +1,21 @@
-"""Supervision policies: when to recycle a resource, how to pace restarts.
+"""Supervision policy: how to pace restarts of a crashing dependency.
 
-Two small, declarative pieces shared by the warm worker-pool plane and
-the serving frontend's pool supervisor:
-
-* :class:`RecyclePolicy` — the predicate deciding whether a warm
-  resource may be reused or must be replaced.  The process-wide pool
-  (:func:`repro.runtime.pool.get_shared_pool`) consults one instead of
-  an inline condition, so the recycle rules are data, not control flow.
-* :class:`RestartBackoff` — consecutive-failure tracking that sleeps a
-  :class:`~repro.resilience.retry.RetryPolicy` schedule between
-  restarts of a crashing dependency.  Unlike a retry loop it never
-  gives up — a supervisor restarts forever — but the delay index is
-  clamped to the policy's last (largest) delay, so a crash-looping pool
-  settles at the capped backoff instead of spinning.
+:class:`RestartBackoff` is consecutive-failure tracking that sleeps a
+:class:`~repro.resilience.retry.RetryPolicy` schedule between restarts,
+used by the serving frontend's pool supervisor.  Unlike a retry loop it
+never gives up — a supervisor restarts forever — but the delay index is
+clamped to the policy's last (largest) delay, so a crash-looping pool
+settles at the capped backoff instead of spinning.  When the pool
+itself is recycled is decided by
+:func:`repro.runtime.pool.get_shared_pool`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .clock import Clock, get_clock
 from .retry import RetryPolicy
-
-
-@dataclass(frozen=True)
-class RecyclePolicy:
-    """When a warm resource must be replaced instead of reused."""
-
-    on_unhealthy: bool = True
-    on_resize: bool = True
-
-    def should_recycle(self, healthy: bool, resized: bool) -> bool:
-        """Must the resource be torn down before serving this request?"""
-        return (self.on_unhealthy and not healthy) or (
-            self.on_resize and resized
-        )
 
 
 class RestartBackoff:

@@ -1,7 +1,6 @@
-"""Timeout policies and deadlines over the injectable clock.
+"""Deadlines over the injectable clock.
 
-A :class:`TimeoutPolicy` is the declarative budget ("requests get 30s");
-:meth:`TimeoutPolicy.deadline` starts the clock for one request.  The
+A :class:`Deadline` is one started budget ("this request gets 30s").  The
 serving frontend checks :meth:`Deadline.expired` before dispatch (a
 request that aged out in the queue is shed, not executed) and passes
 :meth:`Deadline.remaining` down as the runner's per-task harvest
@@ -10,7 +9,6 @@ timeout, so one budget covers queueing *and* execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .clock import Clock, get_clock
@@ -31,20 +29,3 @@ class Deadline:
 
     def expired(self) -> bool:
         return self._clock.monotonic() >= self._expires
-
-
-@dataclass(frozen=True)
-class TimeoutPolicy:
-    """A per-operation wall budget; ``None`` means unbounded."""
-
-    seconds: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.seconds is not None and self.seconds <= 0:
-            raise ValueError(f"seconds must be > 0, got {self.seconds}")
-
-    def deadline(self, clock: Optional[Clock] = None) -> Optional[Deadline]:
-        """Start the budget now, or ``None`` when unbounded."""
-        if self.seconds is None:
-            return None
-        return Deadline(self.seconds, clock)

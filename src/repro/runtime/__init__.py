@@ -16,22 +16,18 @@ Two cooperating pieces take sweep orchestration off the critical path
 
 Layering: ``repro.runtime`` sits between :mod:`repro.durability` /
 :mod:`repro.workloads` (which it imports) and the runner / campaign
-layers (which import it).  Environment gates: ``SECPB_EXEC_PLANE=0``
-restores legacy per-call pools, ``SECPB_TRACE_SHM=0`` disables only the
-shared-memory segments.
+layers (which import it).  The warm pool with trace attach is the
+runner's only parallel path; a worker whose segment is missing or fails
+its digest check regenerates the trace from its deterministic spec.
 """
 
 from .pool import (
-    EXEC_PLANE_ENV,
     WorkerPool,
-    ephemeral_pool,
     get_shared_pool,
-    plane_enabled,
     pool_stats,
     shutdown_shared_pool,
 )
 from .shm import (
-    TRACE_SHM_ENV,
     SharedTraceRegistry,
     TraceAttachSetup,
     TraceSegmentInfo,
@@ -40,12 +36,9 @@ from .shm import (
     cleanup_shared_registry,
     segment_prefix,
     shared_registry,
-    shm_enabled,
 )
 
 __all__ = [
-    "EXEC_PLANE_ENV",
-    "TRACE_SHM_ENV",
     "SharedTraceRegistry",
     "TraceAttachSetup",
     "TraceSegmentInfo",
@@ -53,12 +46,9 @@ __all__ = [
     "announce",
     "attach_trace",
     "cleanup_shared_registry",
-    "ephemeral_pool",
     "get_shared_pool",
-    "plane_enabled",
     "pool_stats",
     "segment_prefix",
     "shared_registry",
-    "shm_enabled",
     "shutdown_shared_pool",
 ]

@@ -23,10 +23,7 @@ semantics layered on the runner:
   re-announces the latest manifest, so a warm pool never serves stale
   attachments.
 
-``SECPB_EXEC_PLANE=0`` disables the plane: the runner falls back to a
-fresh single-use pool per call with per-task dispatch — the pre-plane
-behavior, kept both as an escape hatch and as the benchmark baseline
-(``tools/bench_sweep.py``).
+This is the only way the runner executes in parallel.
 
 All pool construction in the tree lives in this module (and all
 segment creation in :mod:`.shm`) — lint rule SPB404 enforces it.
@@ -36,29 +33,12 @@ from __future__ import annotations
 
 import atexit
 import logging
-import os
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from . import shm
-from ..resilience import RecyclePolicy
 
 logger = logging.getLogger(__name__)
-
-#: Declarative reuse contract for the shared warm pool: recycle on a
-#: latched-unhealthy pool (wedged/crashed worker, interrupt salvage) or
-#: a worker-count change, reuse otherwise.  The serving frontend's pool
-#: supervisor leans on the same predicate firing inside
-#: :func:`get_shared_pool` — a crashed pool is never handed out twice.
-RECYCLE_POLICY = RecyclePolicy(on_unhealthy=True, on_resize=True)
-
-EXEC_PLANE_ENV = "SECPB_EXEC_PLANE"
-"""Set to ``0`` for legacy per-call pools (no warm reuse, no batching)."""
-
-
-def plane_enabled() -> bool:
-    """Whether the persistent execution plane is enabled (env gate)."""
-    return os.environ.get(EXEC_PLANE_ENV, "1") != "0"
 
 
 def _worker_init(manifest: Tuple[shm.TraceSegmentInfo, ...]) -> None:
@@ -74,20 +54,17 @@ _GENERATION = 0
 class WorkerPool:
     """A ``ProcessPoolExecutor`` with health state and a generation tag.
 
-    ``persistent`` pools are the warm, process-wide kind handed out by
-    :func:`get_shared_pool`; a non-persistent pool is single-use (legacy
-    mode and explicit callers) and shut down by its run.  ``healthy``
-    latches False on timeout/crash/interrupt; an unhealthy pool is never
-    reused.
+    :func:`get_shared_pool` hands out the warm, process-wide instance.
+    ``healthy`` latches False on timeout/crash/interrupt; an unhealthy
+    pool is never reused.
     """
 
-    def __init__(self, workers: int, persistent: bool = True):
+    def __init__(self, workers: int):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         global _GENERATION
         _GENERATION += 1
         self.workers = workers
-        self.persistent = persistent
         self.generation = _GENERATION
         self.healthy = True
         self.runs = 0
@@ -132,30 +109,25 @@ _SHARED: Optional[WorkerPool] = None
 def get_shared_pool(workers: int) -> WorkerPool:
     """The process-wide warm pool, recycled only when it cannot serve.
 
-    Reuse requires a healthy pool with the same worker count — the
-    :data:`RECYCLE_POLICY` predicate; anything else shuts the old pool
-    down (without waiting — a wedged worker must not block the caller)
-    and forks a new generation.
+    Reuse requires a healthy pool with the same worker count; a pool
+    latched unhealthy (wedged/crashed worker, interrupt salvage) or of
+    another width is shut down (without waiting — a wedged worker must
+    not block the caller) and a new generation forked.  The serving
+    frontend's pool supervisor relies on this: a crashed pool is never
+    handed out twice.
     """
     global _SHARED
     pool = _SHARED
-    if pool is not None and RECYCLE_POLICY.should_recycle(
-        healthy=pool.healthy, resized=pool.workers != workers
-    ):
+    if pool is not None and (not pool.healthy or pool.workers != workers):
         pool.shutdown(wait=False, cancel_futures=True)
         _SHARED = pool = None
     if pool is None:
-        pool = WorkerPool(workers, persistent=True)
+        pool = WorkerPool(workers)
         _SHARED = pool
         logger.debug("forked worker pool generation %d (%d workers)",
                      pool.generation, workers)
     pool.runs += 1
     return pool
-
-
-def ephemeral_pool(workers: int) -> WorkerPool:
-    """A single-use pool (legacy mode); the caller owns its shutdown."""
-    return WorkerPool(workers, persistent=False)
 
 
 def discard_shared_pool(pool: WorkerPool) -> None:

@@ -40,8 +40,7 @@ recycled pool) is never an error: :func:`attach_trace` retries a
 transient attach ENOENT a bounded number of times (the announce→publish
 race window is short) and then returns ``None``, so the trace store
 falls back to deterministic regeneration and the plane can be torn down
-at any moment without affecting results.  The whole plane is disabled
-by ``SECPB_TRACE_SHM=0``.
+at any moment without affecting results.
 """
 
 from __future__ import annotations
@@ -62,9 +61,6 @@ from ..workloads.trace import Trace
 
 logger = logging.getLogger(__name__)
 
-TRACE_SHM_ENV = "SECPB_TRACE_SHM"
-"""Set to ``0`` to disable shared-memory trace segments entirely."""
-
 TraceKey = Tuple[str, int, int]
 
 #: Column offsets inside a segment are padded to this many bytes so every
@@ -72,11 +68,6 @@ TraceKey = Tuple[str, int, int]
 _ALIGN = 16
 
 _SEGMENT_PREFIX = "secpb_shm_"
-
-
-def shm_enabled() -> bool:
-    """Whether trace segments are enabled for this process (env gate)."""
-    return os.environ.get(TRACE_SHM_ENV, "1") != "0"
 
 
 def segment_prefix(pid: Optional[int] = None) -> str:
@@ -335,10 +326,10 @@ def attach_trace(key: TraceKey) -> Optional[Tuple[Trace, str]]:
 
     Returns ``(trace, digest)`` on success — the digest is re-computed
     from the mapped bytes and must equal the published fingerprint.  Any
-    failure (plane disabled, key never announced, segment unlinked,
-    digest mismatch) returns ``None`` and the caller regenerates from
-    the deterministic spec; a stale announcement is dropped so the
-    fallback is paid once, not per lookup.
+    failure (key never announced, segment unlinked, digest mismatch)
+    returns ``None`` and the caller regenerates from the deterministic
+    spec; a stale announcement is dropped so the fallback is paid once,
+    not per lookup.
 
     An attach ENOENT can be a transient race (a warm worker attaching
     while the owner is still publishing) rather than a real teardown, so
@@ -349,8 +340,6 @@ def attach_trace(key: TraceKey) -> Optional[Tuple[Trace, str]]:
     injected ``segment_vanish`` gives up immediately (the owner unlinked
     it, so no amount of waiting brings it back).
     """
-    if not shm_enabled():
-        return None
     info = _ANNOUNCED.get(key)
     if info is None:
         return None

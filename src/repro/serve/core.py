@@ -23,7 +23,7 @@ The request path composes the :mod:`repro.resilience` policies:
    subsequent requests shed immediately (``breaker_open``) until the
    cooldown admits a probe.
 5. **Supervision** — a crashed pool is never reused: the runner latches
-   it unhealthy and :data:`repro.runtime.pool.RECYCLE_POLICY` forks a
+   it unhealthy and :func:`repro.runtime.pool.get_shared_pool` forks a
    fresh generation at the next acquisition, while
    :class:`~repro.resilience.RestartBackoff` paces those refork cycles
    so a crash loop cannot spin hot.

@@ -488,6 +488,16 @@ class TestObservabilityFlags:
 class TestChaosCommand:
     """ISSUE 9: the `repro chaos` subcommand."""
 
+    @pytest.fixture(autouse=True)
+    def _clean_plane(self):
+        # The soak's residue scan counts every segment this process
+        # owns, so start without segments an earlier in-process
+        # `--jobs 2` run left published.
+        from repro.runtime import cleanup_shared_registry, shutdown_shared_pool
+
+        shutdown_shared_pool()
+        cleanup_shared_registry()
+
     def test_unknown_fault_kind_exits_two(self, capsys):
         assert main(["chaos", "--faults", "power_loss"]) == 2
         assert "unknown fault kind" in capsys.readouterr().err

@@ -25,19 +25,15 @@ from repro.resilience import (
     AdmissionController,
     AdmissionPolicy,
     BreakerPolicy,
-    Bulkhead,
     CircuitBreaker,
     Deadline,
     ManualClock,
-    REJECT_BULKHEAD,
     REJECT_DRAINING,
     REJECT_QUEUE_FULL,
-    RecyclePolicy,
     Rejected,
     RestartBackoff,
     RetryPolicy,
     SystemClock,
-    TimeoutPolicy,
     get_clock,
     jitter_token,
     scoped_clock,
@@ -278,19 +274,6 @@ class TestDeadlines:
         with pytest.raises(ValueError, match="deadline seconds"):
             Deadline(0.0, clock=ManualClock())
 
-    def test_timeout_policy_none_is_unbounded(self):
-        assert TimeoutPolicy(None).deadline() is None
-
-    def test_timeout_policy_starts_deadline(self):
-        clock = ManualClock()
-        deadline = TimeoutPolicy(3.0).deadline(clock=clock)
-        assert deadline is not None
-        assert deadline.seconds == 3.0
-
-    def test_timeout_policy_validation(self):
-        with pytest.raises(ValueError, match="seconds"):
-            TimeoutPolicy(-1.0)
-
 
 # --- circuit breaker ---------------------------------------------------------
 
@@ -479,34 +462,6 @@ class TestAdmissionController:
         assert admission.drain() == []
 
 
-class TestBulkhead:
-    def test_limit_validation(self):
-        with pytest.raises(ValueError, match="limit"):
-            Bulkhead(limit=0)
-
-    def test_sheds_past_limit(self):
-        bulkhead = Bulkhead(limit=2)
-        assert bulkhead.try_acquire() is None
-        assert bulkhead.try_acquire() is None
-        rejected = bulkhead.try_acquire()
-        assert rejected is not None and rejected.reason == REJECT_BULKHEAD
-        bulkhead.release()
-        assert bulkhead.try_acquire() is None
-
-    def test_slot_context_releases(self):
-        bulkhead = Bulkhead(limit=1)
-        with bulkhead.slot() as rejected:
-            assert rejected is None
-            assert bulkhead.in_flight() == 1
-            with bulkhead.slot() as nested:
-                assert nested is not None
-        assert bulkhead.in_flight() == 0
-
-    def test_unbalanced_release_raises(self):
-        with pytest.raises(RuntimeError, match="without a matching acquire"):
-            Bulkhead(limit=1).release()
-
-
 class TestRejected:
     def test_str_with_and_without_detail(self):
         assert str(Rejected("queue_full")) == "rejected (queue_full)"
@@ -517,19 +472,6 @@ class TestRejected:
 
 
 # --- supervision -------------------------------------------------------------
-
-
-class TestRecyclePolicy:
-    def test_truth_table(self):
-        policy = RecyclePolicy(on_unhealthy=True, on_resize=True)
-        assert not policy.should_recycle(healthy=True, resized=False)
-        assert policy.should_recycle(healthy=False, resized=False)
-        assert policy.should_recycle(healthy=True, resized=True)
-        assert policy.should_recycle(healthy=False, resized=True)
-
-    def test_disabled_conditions(self):
-        lax = RecyclePolicy(on_unhealthy=False, on_resize=False)
-        assert not lax.should_recycle(healthy=False, resized=True)
 
 
 class TestRestartBackoff:

@@ -19,6 +19,7 @@ from repro.analysis.runner import (
     run_jobs,
     run_tasks,
 )
+from repro.runtime.pool import pool_stats
 
 
 @dataclass(frozen=True)
@@ -190,6 +191,8 @@ class TestTimeout:
         assert failure.timed_out
         assert failure.error_type == "TimeoutError"
         assert failure.attempts == 1  # timeouts are never retried
+        # A pool with a wedged worker is never handed to the next run.
+        assert pool_stats()["healthy"] == 0
 
     def test_timeout_raise_mode_propagates(self):
         tasks = [Task("wedge")] * 1 + [Task("ok", 1)]

@@ -20,23 +20,22 @@ from __future__ import annotations
 
 import os
 import pickle
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from repro.analysis.runner import SimJob, SimSpec, JobFailure, run_jobs, run_tasks
-from repro.obs.metrics import MetricsRegistry
-from repro.runtime import pool as pool_mod
-from repro.runtime import shm
-from repro.runtime.pool import (
-    WorkerPool,
-    get_shared_pool,
-    plane_enabled,
-    pool_stats,
-    shutdown_shared_pool,
+from repro.analysis.runner import (
+    JobFailure,
+    SimJob,
+    SimSpec,
+    execute_job,
+    run_jobs,
+    run_tasks,
 )
+from repro.obs.metrics import MetricsRegistry
+from repro.runtime import shm
+from repro.runtime.pool import WorkerPool, pool_stats, shutdown_shared_pool
 from repro.runtime.shm import (
     SharedTraceRegistry,
     TraceAttachSetup,
@@ -46,7 +45,6 @@ from repro.runtime.shm import (
     cleanup_shared_registry,
     reset_attachments,
     segment_prefix,
-    shm_enabled,
 )
 from repro.workloads.spec import build_trace
 from repro.workloads.store import DEFAULT_STORE, trace_digest
@@ -55,10 +53,8 @@ HAS_DEV_SHM = os.path.isdir("/dev/shm")
 
 
 @pytest.fixture(autouse=True)
-def plane_isolation(monkeypatch):
+def plane_isolation():
     """Run every test against a cold plane, and leave nothing behind."""
-    monkeypatch.setenv("SECPB_EXEC_PLANE", "1")
-    monkeypatch.setenv("SECPB_TRACE_SHM", "1")
     reset_attachments()
     shutdown_shared_pool()
     cleanup_shared_registry()
@@ -150,18 +146,6 @@ class TestSharedTraceRegistry:
             announce(registry.manifest())
             assert attach_trace(self.KEY) is None
             assert self.KEY not in announced_keys()
-        finally:
-            reset_attachments()
-            registry.cleanup()
-
-    def test_env_gate_disables_attach(self, monkeypatch):
-        registry = SharedTraceRegistry()
-        try:
-            _, info = self._publish(registry)
-            announce([info])
-            monkeypatch.setenv("SECPB_TRACE_SHM", "0")
-            assert not shm_enabled()
-            assert attach_trace(self.KEY) is None
         finally:
             reset_attachments()
             registry.cleanup()
@@ -370,26 +354,6 @@ class TestWarmPool:
         with pytest.raises(ValueError, match="chunk"):
             run_tasks(tasks, _double, workers=2, chunk=0)
 
-    def test_legacy_mode_uses_no_shared_pool(self, monkeypatch):
-        monkeypatch.setenv("SECPB_EXEC_PLANE", "0")
-        assert not plane_enabled()
-        tasks = [Task(str(i), i) for i in range(4)]
-        assert run_tasks(tasks, _double, workers=2) == {
-            str(i): i * 2 for i in range(4)
-        }
-        assert pool_stats()["generation"] == 0  # nothing warm survives
-
-    def test_explicit_pool_is_respected_and_left_running(self):
-        tasks = [Task(str(i), i) for i in range(4)]
-        pool = WorkerPool(2, persistent=True)
-        try:
-            assert run_tasks(tasks, _double, workers=2, pool=pool) == {
-                str(i): i * 2 for i in range(4)
-            }
-            assert pool.healthy
-        finally:
-            pool.shutdown()
-
     def test_worker_pool_validates_worker_count(self):
         with pytest.raises(ValueError, match="workers"):
             WorkerPool(0)
@@ -469,13 +433,14 @@ class TestTraceMaterializedOncePerRun:
         cleanup_shared_registry()
         assert not os.path.exists(_segment_file(info.segment))
 
-    def test_segments_disabled_still_correct(self, monkeypatch):
-        monkeypatch.setenv("SECPB_TRACE_SHM", "0")
+    def test_segments_disabled_still_correct(self):
+        # Nothing announced and no setup hook: every worker misses the
+        # plane and falls back to deterministic regeneration.
+        cleanup_shared_registry()
         DEFAULT_STORE.clear()
         jobs = _sweep_jobs()
         metrics = MetricsRegistry()
-        results = run_jobs(jobs, workers=2, metrics=metrics)
-        assert len(results) == len(jobs)
+        results = run_tasks(jobs, execute_job, workers=2, metrics=metrics)
+        assert results == run_jobs(jobs, workers=1)
         snapshot = metrics.snapshot(include_nondeterministic=True)
-        # No plane: workers fall back to deterministic regeneration.
-        assert snapshot.get("store.shm_segments", {"value": 0})["value"] == 0
+        assert snapshot["runner.worker_traces_built"]["value"] > 0
